@@ -12,13 +12,16 @@ test:
 	go test ./...
 
 # tier1 is the gate every PR must keep green: build, the full test suite,
-# vet, and the race detector over the packages that run worker pools
-# (experiments fan-out) or are exercised by them (the noc kernel).
+# vet, the race detector over the packages that run worker pools
+# (experiments fan-out) or are exercised by them (the noc kernel), and the
+# benchmark harness, which is its own module (perfbench/go.mod) and so
+# outside ./... .
 tier1:
 	go build ./...
 	go test ./...
 	go vet ./...
 	go test -race -timeout 30m ./internal/experiments ./internal/noc
+	go -C perfbench vet ./... && go -C perfbench test ./...
 
 race:
 	go test -race ./...

@@ -6,6 +6,10 @@ import (
 	"heteronoc/internal/cmp/cache"
 )
 
+// MaxTiles is the largest system the directory can track: Sharers holds
+// one bit per tile.
+const MaxTiles = 64
+
 // DirEntry is the full-map directory state embedded in each L2 line.
 type DirEntry struct {
 	// Owner holds the tile with an E or M copy, -1 when none.
@@ -191,7 +195,7 @@ func (h *Home) process(m Msg) {
 		if others != 0 {
 			tx := h.getTx(m)
 			tx.stage = txInv
-			for t := 0; t < 64; t++ {
+			for t := 0; t < MaxTiles; t++ {
 				if others&(1<<uint(t)) != 0 {
 					tx.acksLeft++
 					h.send(Inv, m.Line, t, m.Src, false)
@@ -243,7 +247,7 @@ func (h *Home) makeRoom(tx *homeTx) bool {
 		tx.acksLeft++
 		h.send(Inv, v.Tag, d.Owner, h.tile, false)
 	}
-	for t := 0; t < 64; t++ {
+	for t := 0; t < MaxTiles; t++ {
 		if d.Sharers&(1<<uint(t)) != 0 {
 			tx.acksLeft++
 			h.send(Inv, v.Tag, t, h.tile, false)

@@ -42,6 +42,7 @@ type Core struct {
 	gapLeft     int
 	havePending bool
 	pending     trace.Entry
+	pos         int64   // committed instructions; unlike Insts, not reset by ResetStats
 	outstanding []int64 // instruction positions of in-flight misses (ascending)
 	hitStall    int
 	cbFree      []*missCB // completion-callback pool (see issueMem)
@@ -77,7 +78,7 @@ func (c *Core) Step() {
 	budget := c.cfg.Width
 	progressed := false
 	for budget > 0 {
-		if len(c.outstanding) > 0 && c.Insts-c.outstanding[0] >= int64(c.cfg.Window) {
+		if len(c.outstanding) > 0 && c.pos-c.outstanding[0] >= int64(c.cfg.Window) {
 			break // window full behind the oldest miss
 		}
 		if c.gapLeft > 0 {
@@ -86,6 +87,7 @@ func (c *Core) Step() {
 				n = c.gapLeft
 			}
 			c.gapLeft -= n
+			c.pos += int64(n)
 			c.Insts += int64(n)
 			budget -= n
 			progressed = true
@@ -137,6 +139,7 @@ func (c *Core) putCB(cb *missCB) { c.cbFree = append(c.cbFree, cb) }
 
 func (cb *missCB) complete() {
 	c := cb.c
+	c.pos++
 	c.Insts++
 	if cb.sync {
 		return // L1 hit: the operation committed in place; issueMem frees cb
@@ -156,7 +159,7 @@ func (cb *missCB) complete() {
 func (c *Core) issueMem(budget *int) bool {
 	e := c.pending
 	cb := c.getCB()
-	cb.issuePos = c.Insts
+	cb.issuePos = c.pos
 	cb.issueAt = *c.now
 	cb.sync = true
 	res := c.l1.Access(c.line(e.Addr), e.Write, cb.fn)

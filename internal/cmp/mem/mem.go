@@ -5,6 +5,8 @@
 // (Section 6).
 package mem
 
+import "math/bits"
+
 // Request is one DRAM access.
 type Request struct {
 	Line    uint64
@@ -13,6 +15,9 @@ type Request struct {
 	Arrived int64
 	// done is the completion time once scheduled.
 	done int64
+	// bank and row are the request's DRAM coordinates, fixed at Enqueue.
+	bank int
+	row  uint64
 	// pooled marks a controller-owned request (EnqueueLine); it returns to
 	// the free list one Tick after completion. Caller-owned requests
 	// (Enqueue) are never recycled.
@@ -24,6 +29,11 @@ type Request struct {
 // right row is serviced faster (RowHitLatency) and preferred over older
 // row-miss requests to the same bank — the standard first-ready
 // first-come-first-served policy.
+//
+// Waiting requests sit in one FIFO per bank, since FR-FCFS only ever
+// compares requests of the same bank, and a bit mask records which banks
+// hold any; scheduling therefore costs O(banks with work), not
+// O(banks × queue).
 type Controller struct {
 	// Terminal is the tile the controller is attached to.
 	Terminal int
@@ -32,7 +42,7 @@ type Controller struct {
 	Latency int64
 	// RowHitLatency is the access time when the row buffer hits.
 	RowHitLatency int64
-	// Banks is the number of requests serviced in parallel.
+	// Banks is the number of requests serviced in parallel (at most 64).
 	Banks int
 	// RowLines is the number of consecutive cache lines per DRAM row.
 	RowLines uint64
@@ -40,7 +50,8 @@ type Controller struct {
 	bankFree []int64  // cycle each bank frees up
 	openRow  []uint64 // row latched in each bank's row buffer
 	rowValid []bool
-	queue    []*Request
+	bankQ    [][]*Request // waiting requests per bank, oldest first
+	pending  uint64       // bit b set iff bankQ[b] is non-empty
 	inFlight reqHeap
 
 	// out is the reused Tick result slice; its previous contents are
@@ -60,15 +71,27 @@ type Controller struct {
 // NewController builds a controller attached to a terminal.
 func NewController(terminal int) *Controller {
 	c := &Controller{Terminal: terminal, Latency: 400, RowHitLatency: 200, Banks: 8, RowLines: 64}
-	c.bankFree = make([]int64, c.Banks)
-	c.openRow = make([]uint64, c.Banks)
-	c.rowValid = make([]bool, c.Banks)
+	c.bankFreeReset()
 	return c
 }
 
-// bankOf statically maps a line to a bank; rowOf gives its DRAM row.
-func (c *Controller) bankOf(line uint64) int   { return int((line / c.RowLines) % uint64(c.Banks)) }
-func (c *Controller) rowOf(line uint64) uint64 { return line / c.RowLines / uint64(c.Banks) }
+// bankFreeReset checks the timing parameters and (re-)sizes the per-bank
+// state; tests call it after changing Banks or the latencies. schedule
+// grants each free bank at most once per call, which is exact only
+// because a granted bank stays busy for at least one cycle.
+func (c *Controller) bankFreeReset() {
+	if c.Latency < 1 || c.RowHitLatency < 1 {
+		panic("mem: DRAM latencies must be at least one cycle")
+	}
+	if c.Banks < 1 || c.Banks > 64 || c.RowLines < 1 {
+		panic("mem: need 1..64 banks and at least one line per row")
+	}
+	c.bankFree = make([]int64, c.Banks)
+	c.openRow = make([]uint64, c.Banks)
+	c.rowValid = make([]bool, c.Banks)
+	c.bankQ = make([][]*Request, c.Banks)
+	c.pending = 0
+}
 
 // EnqueueLine accepts an access without the caller allocating a Request:
 // the controller draws one from its pool and recycles it after completion.
@@ -92,59 +115,52 @@ func (c *Controller) Enqueue(r *Request, now int64) {
 	} else {
 		c.Reads++
 	}
-	c.queue = append(c.queue, r)
+	// A line maps statically to a bank; its row is the line's position
+	// among that bank's rows.
+	rowIdx := r.Line / c.RowLines
+	r.bank = int(rowIdx % uint64(c.Banks))
+	r.row = rowIdx / uint64(c.Banks)
+	c.bankQ[r.bank] = append(c.bankQ[r.bank], r)
+	c.pending |= 1 << uint(r.bank)
 	c.schedule(now)
 }
 
 // schedule assigns queued requests to free banks under FR-FCFS: per free
 // bank, the oldest row-buffer-hitting request wins; if none hits, the
-// oldest request for that bank is served and re-opens the row.
+// oldest request for that bank is served and re-opens the row. Banks are
+// visited in ascending order, which fixes the inFlight push order and
+// with it the order of same-cycle completions.
 func (c *Controller) schedule(now int64) {
-	if len(c.queue) == 0 {
-		return
-	}
-	for {
-		moved := false
-		for bank := 0; bank < c.Banks; bank++ {
-			if c.bankFree[bank] > now {
-				continue
-			}
-			// First ready: oldest row hit for this bank, else oldest
-			// request for this bank.
-			pick := -1
-			for i, r := range c.queue {
-				if c.bankOf(r.Line) != bank {
-					continue
-				}
-				if c.rowValid[bank] && c.rowOf(r.Line) == c.openRow[bank] {
-					pick = i
-					break // queue is FIFO: first hit is the oldest hit
-				}
-				if pick < 0 {
-					pick = i
-				}
-			}
-			if pick < 0 {
-				continue
-			}
-			r := c.queue[pick]
-			c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-			lat := c.Latency
-			if c.rowValid[bank] && c.rowOf(r.Line) == c.openRow[bank] {
-				lat = c.RowHitLatency
-				c.RowHits++
-			}
-			c.openRow[bank] = c.rowOf(r.Line)
-			c.rowValid[bank] = true
-			r.done = now + lat
-			c.bankFree[bank] = r.done
-			c.TotalQueueDelay += now - r.Arrived
-			c.inFlight.push(r)
-			moved = true
+	for m := c.pending; m != 0; m &= m - 1 {
+		bank := bits.TrailingZeros64(m)
+		if c.bankFree[bank] > now {
+			continue
 		}
-		if !moved {
-			return
+		q := c.bankQ[bank]
+		pick, lat := 0, c.Latency
+		if c.rowValid[bank] {
+			for i, r := range q {
+				if r.row == c.openRow[bank] {
+					pick, lat = i, c.RowHitLatency
+					c.RowHits++
+					break // FIFO: the first hit is the oldest hit
+				}
+			}
 		}
+		r := q[pick]
+		copy(q[pick:], q[pick+1:])
+		q[len(q)-1] = nil
+		q = q[:len(q)-1]
+		c.bankQ[bank] = q
+		if len(q) == 0 {
+			c.pending &^= 1 << uint(bank)
+		}
+		c.openRow[bank] = r.row
+		c.rowValid[bank] = true
+		r.done = now + lat
+		c.bankFree[bank] = r.done
+		c.TotalQueueDelay += now - r.Arrived
+		c.inFlight.push(r)
 	}
 }
 
@@ -169,11 +185,24 @@ func (c *Controller) Tick(now int64) []*Request {
 	return c.out
 }
 
+// ResetStats zeroes the statistics counters; queued and in-flight
+// requests are untouched.
+func (c *Controller) ResetStats() {
+	c.Reads, c.Writes, c.RowHits = 0, 0, 0
+	c.TotalQueueDelay, c.TotalServiceTime, c.Completed = 0, 0, 0
+}
+
 // QueueLen returns the number of requests waiting for a bank.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+func (c *Controller) QueueLen() int {
+	n := 0
+	for _, q := range c.bankQ {
+		n += len(q)
+	}
+	return n
+}
 
 // Busy reports whether any request is queued or in flight.
-func (c *Controller) Busy() bool { return len(c.queue) > 0 || len(c.inFlight) > 0 }
+func (c *Controller) Busy() bool { return c.pending != 0 || len(c.inFlight) > 0 }
 
 // AvgServiceTime returns the mean arrival-to-done time in cycles.
 func (c *Controller) AvgServiceTime() float64 {
@@ -297,11 +326,4 @@ func abs64(f float64) float64 {
 		return -f
 	}
 	return f
-}
-
-// bankFreeReset re-sizes the per-bank state after a test changes Banks.
-func (c *Controller) bankFreeReset() {
-	c.bankFree = make([]int64, c.Banks)
-	c.openRow = make([]uint64, c.Banks)
-	c.rowValid = make([]bool, c.Banks)
 }

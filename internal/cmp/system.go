@@ -173,6 +173,15 @@ func (s *System) putNetMsg(nm *netMsg) {
 	s.msgPool = append(s.msgPool, nm)
 }
 
+// CheckTiles reports whether a CMP of n tiles can be built: the home
+// directories track sharers as one bit per tile (coherence.MaxTiles).
+func CheckTiles(n int) error {
+	if n > coherence.MaxTiles {
+		return fmt.Errorf("cmp: %d tiles exceed the %d-tile limit of the directory sharer vector", n, coherence.MaxTiles)
+	}
+	return nil
+}
+
 // New builds a CMP system.
 func New(cfg Config) (*System, error) {
 	if cfg.LineBytes == 0 {
@@ -182,6 +191,9 @@ func New(cfg Config) (*System, error) {
 		cfg.CoreFreqGHz = 2.20
 	}
 	n := cfg.Layout.Mesh.NumTerminals()
+	if err := CheckTiles(n); err != nil {
+		return nil, err
+	}
 	if cfg.MCTiles == nil {
 		w, h := cfg.Layout.Mesh.Dims()
 		cfg.MCTiles = mem.Tiles(mem.PlacementCorners, w, h)
@@ -453,7 +465,7 @@ func (s *System) ResetStats() {
 		tile.Core.MissRTT = stats.Summary{}
 	}
 	for _, mc := range s.MCs {
-		mc.Reads, mc.Writes, mc.TotalQueueDelay, mc.TotalServiceTime, mc.Completed = 0, 0, 0, 0, 0
+		mc.ResetStats()
 	}
 }
 

@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"strings"
 	"testing"
 
 	"heteronoc/internal/cmp/cache"
@@ -193,5 +194,64 @@ func TestMixedCoreConfigValidation(t *testing.T) {
 	_, err = New(Config{Layout: l, Traces: nil})
 	if err == nil {
 		t.Error("missing traces accepted")
+	}
+}
+
+func TestNewRejectsMoreTilesThanDirectoryTracks(t *testing.T) {
+	l := core.NewBaseline(9, 9)
+	_, err := New(Config{Layout: l, Traces: benchTraces(t, "SPECjbb", 81)})
+	if err == nil || !strings.Contains(err.Error(), "64-tile limit") {
+		t.Fatalf("9x9 system: got error %v, want one naming the 64-tile limit", err)
+	}
+	if _, err := New(Config{Layout: core.NewBaseline(8, 8), Traces: benchTraces(t, "SPECjbb", 64)}); err != nil {
+		t.Fatalf("8x8 system rejected: %v", err)
+	}
+}
+
+// TestResetStatsStartsFreshDRAMWindow: after a mid-run ResetStats the
+// report's row-hit ratio covers only the second window. The control
+// system runs the same cycles without a reset, and its counter deltas
+// over the second window give the expected ratio; a reset must clear
+// counters only, never change what the system does next.
+func TestResetStatsStartsFreshDRAMWindow(t *testing.T) {
+	const first, second = 3000, 3000
+	dram := func(s *System) (hits, done int64) {
+		for _, mc := range s.MCs {
+			hits += mc.RowHits
+			done += mc.Completed
+		}
+		return hits, done
+	}
+	l := core.NewBaseline(4, 4)
+	reset, control := newSystem(t, l, "canneal"), newSystem(t, l, "canneal")
+	if err := reset.Run(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := control.Run(first); err != nil {
+		t.Fatal(err)
+	}
+	hits1, done1 := dram(control)
+	if hits1 == 0 {
+		t.Fatal("first window had no DRAM row hits; the test cannot tell a stale counter")
+	}
+	reset.ResetStats()
+	if err := reset.Run(second); err != nil {
+		t.Fatal(err)
+	}
+	if err := control.Run(second); err != nil {
+		t.Fatal(err)
+	}
+	hits2, done2 := dram(control)
+	if done2 == done1 {
+		t.Fatal("second window completed no DRAM accesses")
+	}
+	if _, done := dram(reset); done != done2-done1 {
+		t.Fatalf("reset system completed %d DRAM accesses in the second window, control %d: the reset changed the run",
+			done, done2-done1)
+	}
+	want := float64(hits2-hits1) / float64(done2-done1)
+	got := reset.Snapshot().DRAMRowHits
+	if got != want || got > 1 {
+		t.Errorf("DRAM row-hit ratio after reset = %v, want second window's %v", got, want)
 	}
 }

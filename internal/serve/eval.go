@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"heteronoc/internal/chaos"
+	"heteronoc/internal/cmp"
 	"heteronoc/internal/dse"
 	"heteronoc/internal/obs"
 	"heteronoc/internal/reqstat"
@@ -77,6 +78,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, ErrorPayload{
 			Error: "bad_request", Detail: fmt.Sprintf("bad mesh dims %dx%d", req.Cfg.W, req.Cfg.H)})
 		return
+	}
+	if req.Cfg.Bench != "" {
+		if err := cmp.CheckTiles(req.Cfg.W * req.Cfg.H); err != nil {
+			s.writeError(w, http.StatusBadRequest, ErrorPayload{Error: "bad_request", Detail: err.Error()})
+			return
+		}
 	}
 	if req.Tenant == "" {
 		req.Tenant = "default"

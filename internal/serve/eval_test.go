@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +87,30 @@ func TestEvalRejectsBadBatches(t *testing.T) {
 		if !errors.As(err, &api) || api.Code != http.StatusBadRequest {
 			t.Errorf("case %d: got %v, want 400", i, err)
 		}
+	}
+}
+
+// TestEvalRejectsCMPBeyondTileLimit: a CMP-mode recipe larger than the
+// directory can track is refused with a 400 that names the limit, instead
+// of running with silently incomplete sharer vectors.
+func TestEvalRejectsCMPBeyondTileLimit(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL, MaxAttempts: 1}
+
+	req := EvalRequest{
+		Cfg:  dse.EvalConfig{W: 9, H: 9, Bench: "SPECjbb", CMPCycles: 100, WarmupEntries: 10},
+		Sets: [][]int{{0, 40, 80}},
+	}
+	_, err := c.Eval(context.Background(), req)
+	var api *APIError
+	if !errors.As(err, &api) || api.Code != http.StatusBadRequest {
+		t.Fatalf("got %v, want 400", err)
+	}
+	if !strings.Contains(api.Payload.Detail, "64-tile limit") {
+		t.Errorf("detail %q does not name the 64-tile limit", api.Payload.Detail)
 	}
 }
 
