@@ -1,5 +1,7 @@
-// Command ckpttool inspects NOCCKPT01 checkpoint files written by noxsim
-// (-ckptout) and the experiment pipeline's persistent caches.
+// Command ckpttool inspects and validates NOCCKPT01 containers — every
+// whole-file artifact the repository writes: noxsim checkpoints
+// (-ckptout), suspended-run checkpoints, run-cache disk entries (.rc),
+// search frontiers (cmd/dse -frontier) and flit traces (tracetool nocrec).
 //
 // Usage:
 //
@@ -9,7 +11,7 @@
 //
 // info reads only the header, so it works even when the body is from a
 // newer (unknown) state version; validate checks the whole container's
-// integrity without interpreting the body.
+// integrity, for every kind, without interpreting the body.
 package main
 
 import (

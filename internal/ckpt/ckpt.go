@@ -1,7 +1,9 @@
-// Package ckpt implements the NOCCKPT01 checkpoint container: a small,
-// versioned, CRC-protected binary format used to serialize simulator
-// state (noc.Network, noc.Reliable, cmp.System warm state) and cached
-// experiment artifacts.
+// Package ckpt implements the NOCCKPT01 container: a small, versioned,
+// CRC-protected binary format and the one framing for every whole-file
+// artifact the repository writes — simulator checkpoints (noc.Network,
+// noc.Reliable, cmp.System warm state), run-cache disk entries, search
+// frontiers and flit traces. Only the streamed, seekable HNTR2 trace
+// keeps its own chunk framing (see internal/trace/chunk.go).
 //
 // Layout:
 //
@@ -18,6 +20,9 @@
 // and Err reports the failure. Any structural problem — short buffer, bad
 // magic, CRC mismatch, truncation — yields an error wrapping ErrCorrupt,
 // which cache layers treat as a miss rather than a failure.
+//
+// Kinds written today: "noc-net", "noc-rel", "noc-run" (suspended runs),
+// "cmp-warm", "runcache", "dse-frontier" and "flit-trace".
 package ckpt
 
 import (
@@ -26,6 +31,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 )
 
 // Magic identifies a checkpoint container. The trailing "01" is the
@@ -34,7 +41,7 @@ const Magic = "NOCCKPT01"
 
 // ErrCorrupt is wrapped by every decode error caused by malformed input
 // (as opposed to a well-formed checkpoint for a mismatched config).
-var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
+var ErrCorrupt = errors.New("ckpt: corrupt container")
 
 // Header is the kind-independent prefix of every checkpoint, readable
 // without the originating Config (cmd/ckpttool relies on this). Kinds
@@ -56,7 +63,7 @@ type Writer struct {
 
 // NewWriter starts a checkpoint with the given header already encoded.
 func NewWriter(h Header) *Writer {
-	w := &Writer{buf: make([]byte, 0, 4096)}
+	w := &Writer{buf: make([]byte, 0, 256)}
 	w.buf = append(w.buf, Magic...)
 	w.Str(h.Kind)
 	w.U64(h.Version)
@@ -101,6 +108,14 @@ func (w *Writer) Bytes(b []byte) {
 func (w *Writer) Str(s string) {
 	w.U64(uint64(len(s)))
 	w.buf = append(w.buf, s...)
+}
+
+// Write appends p unframed, making Writer an io.Writer so an encoder
+// (gob, a record block) can stream straight into the body. Only the last
+// field of a body may be written this way; Reader.Rest returns it.
+func (w *Writer) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }
 
 // crcLen is the CRC footer width.
@@ -172,7 +187,10 @@ func (r *Reader) Header() Header { return r.hdr }
 // Err returns the sticky decode error, if any.
 func (r *Reader) Err() error { return r.err }
 
-func (r *Reader) fail(format string, args ...any) {
+// Fail records a decode error wrapping ErrCorrupt unless one is already
+// set, so decoders can report semantic violations (a count out of range,
+// an index past a table) through the same sticky error.
+func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = corrupt(format, args...)
 	}
@@ -185,7 +203,7 @@ func (r *Reader) U64() uint64 {
 	}
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
-		r.fail("truncated uvarint at offset %d", r.pos)
+		r.Fail("truncated uvarint at offset %d", r.pos)
 		return 0
 	}
 	r.pos += n
@@ -199,7 +217,7 @@ func (r *Reader) I64() int64 {
 	}
 	v, n := binary.Varint(r.data[r.pos:])
 	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.pos)
+		r.Fail("truncated varint at offset %d", r.pos)
 		return 0
 	}
 	r.pos += n
@@ -215,13 +233,13 @@ func (r *Reader) Bool() bool {
 		return false
 	}
 	if r.pos >= len(r.data) {
-		r.fail("truncated bool at offset %d", r.pos)
+		r.Fail("truncated bool at offset %d", r.pos)
 		return false
 	}
 	b := r.data[r.pos]
 	r.pos++
 	if b > 1 {
-		r.fail("bad bool byte %d at offset %d", b, r.pos-1)
+		r.Fail("bad bool byte %d at offset %d", b, r.pos-1)
 		return false
 	}
 	return b == 1
@@ -233,7 +251,7 @@ func (r *Reader) F64() float64 {
 		return 0
 	}
 	if r.pos+8 > len(r.data) {
-		r.fail("truncated float at offset %d", r.pos)
+		r.Fail("truncated float at offset %d", r.pos)
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.pos:]))
@@ -248,7 +266,7 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	if n > uint64(len(r.data)-r.pos) {
-		r.fail("byte slice length %d exceeds remaining %d", n, len(r.data)-r.pos)
+		r.Fail("byte slice length %d exceeds remaining %d", n, len(r.data)-r.pos)
 		return nil
 	}
 	out := make([]byte, n)
@@ -269,12 +287,24 @@ func (r *Reader) StrMax(max int) string {
 		return ""
 	}
 	if n > uint64(max) || n > uint64(len(r.data)-r.pos) {
-		r.fail("string length %d exceeds remaining %d (max %d)", n, len(r.data)-r.pos, max)
+		r.Fail("string length %d exceeds remaining %d (max %d)", n, len(r.data)-r.pos, max)
 		return ""
 	}
 	s := string(r.data[r.pos : r.pos+int(n)])
 	r.pos += int(n)
 	return s
+}
+
+// Rest consumes and returns every remaining body byte, unframed and
+// uncopied (the counterpart of Writer.Write). The slice aliases the
+// buffer passed to NewReader.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	rest := r.data[r.pos:]
+	r.pos = len(r.data)
+	return rest
 }
 
 // Done verifies the whole body was consumed. Trailing garbage would mean
@@ -287,4 +317,27 @@ func (r *Reader) Done() error {
 		return corrupt("%d trailing bytes after body", len(r.data)-r.pos)
 	}
 	return nil
+}
+
+// WriteFile stores data at path atomically: it writes a temp file in the
+// same directory and renames it into place, so a reader never observes a
+// partial file and a crash mid-write leaves the previous contents (or
+// nothing) behind. On any failure the temp file is removed.
+func WriteFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	name := tmp.Name()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(name, path)
+	}
+	if err != nil {
+		os.Remove(name)
+	}
+	return err
 }

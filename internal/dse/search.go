@@ -60,7 +60,7 @@ type SearchConfig struct {
 	// Seed drives the search RNG (selection, crossover, mutation). The
 	// probe seed lives in Eval.Seed.
 	Seed int64
-	// FrontierPath persists the search as an HNDSE1 file after every
+	// FrontierPath persists the search as a frontier file after every
 	// generation; if the file exists the search resumes from it.
 	FrontierPath string
 	// Evaluator scores candidate batches (default LocalEvaluator).

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"heteronoc/internal/ckpt"
 	"heteronoc/internal/obs"
 )
 
@@ -160,21 +161,20 @@ func (ft *FlitTracer) Records() []FlitRecord {
 	return out
 }
 
-// Binary flit-trace file format (little-endian):
+// Binary flit-trace file format: a NOCCKPT01 container (internal/ckpt) of
+// kind "flit-trace", so the file carries a CRC like every other artifact.
+// Header fields other than kind and version are zero. Body:
 //
-//	offset  size  field
-//	0       8     magic "NOCFLT01"
-//	8       4     uint32 number of routers
-//	12      4     uint32 reserved (zero)
-//	16      8     uint64 record count
-//	24      24*N  records, in capture order:
-//	              int64 cycle, uint64 packet,
-//	              int16 router, int16 port, int16 vc,
-//	              uint8 kind, uint8 reserved (zero)
+//	uvarint  number of routers
+//	uvarint  record count N
+//	24*N     records, in capture order, fixed-width little-endian:
+//	         int64 cycle, uint64 packet,
+//	         int16 router, int16 port, int16 vc,
+//	         uint8 kind, uint8 reserved (zero)
 const (
-	flitTraceMagic      = "NOCFLT01"
-	flitTraceHeaderSize = 24
-	flitRecordSize      = 24
+	flitTraceKind    = "flit-trace"
+	flitTraceVersion = 1
+	flitRecordSize   = 24
 )
 
 // FlitTrace is a decoded binary flit trace.
@@ -183,42 +183,23 @@ type FlitTrace struct {
 	Records    []FlitRecord // capture order
 }
 
-func putFlitRecord(b []byte, rec *FlitRecord) {
-	binary.LittleEndian.PutUint64(b[0:], uint64(rec.Cycle))
-	binary.LittleEndian.PutUint64(b[8:], rec.Packet)
-	binary.LittleEndian.PutUint16(b[16:], uint16(rec.Router))
-	binary.LittleEndian.PutUint16(b[18:], uint16(rec.Port))
-	binary.LittleEndian.PutUint16(b[20:], uint16(rec.VC))
-	b[22] = byte(rec.Kind)
-	b[23] = 0
-}
-
 func writeFlitTrace(w io.Writer, numRouters int, recs []FlitRecord) error {
-	hdr := make([]byte, flitTraceHeaderSize)
-	copy(hdr, flitTraceMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(numRouters))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(recs)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 64*flitRecordSize)
-	var rec [flitRecordSize]byte
+	cw := ckpt.NewWriter(ckpt.Header{Kind: flitTraceKind, Version: flitTraceVersion})
+	cw.U64(uint64(numRouters))
+	cw.U64(uint64(len(recs)))
+	var b [flitRecordSize]byte
 	for i := range recs {
-		putFlitRecord(rec[:], &recs[i])
-		buf = append(buf, rec[:]...)
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+		rec := &recs[i]
+		binary.LittleEndian.PutUint64(b[0:], uint64(rec.Cycle))
+		binary.LittleEndian.PutUint64(b[8:], rec.Packet)
+		binary.LittleEndian.PutUint16(b[16:], uint16(rec.Router))
+		binary.LittleEndian.PutUint16(b[18:], uint16(rec.Port))
+		binary.LittleEndian.PutUint16(b[20:], uint16(rec.VC))
+		b[22] = byte(rec.Kind)
+		cw.Write(b[:])
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(cw.Finish())
+	return err
 }
 
 // WriteBinary writes the tracer's live records in the binary trace format.
@@ -231,33 +212,41 @@ func (tr *FlitTrace) WriteBinary(w io.Writer) error {
 	return writeFlitTrace(w, tr.NumRouters, tr.Records)
 }
 
-// ReadFlitTrace decodes a binary flit trace.
+// ReadFlitTrace decodes a binary flit trace. The container's CRC is
+// verified before any record is decoded, and the record count must match
+// the body bytes that follow it exactly, so allocation is bounded by the
+// file's size, never by the count it claims.
 func ReadFlitTrace(r io.Reader) (*FlitTrace, error) {
-	hdr := make([]byte, flitTraceHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("noc: flit trace header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("noc: flit trace: %w", err)
 	}
-	if string(hdr[:8]) != flitTraceMagic {
-		return nil, fmt.Errorf("noc: not a flit trace (magic %q)", hdr[:8])
+	cr, err := ckpt.NewReader(data)
+	if err != nil {
+		return nil, fmt.Errorf("noc: flit trace: %w", err)
 	}
-	tr := &FlitTrace{NumRouters: int(binary.LittleEndian.Uint32(hdr[8:]))}
-	count := binary.LittleEndian.Uint64(hdr[16:])
-	if count > 1<<32 {
-		return nil, fmt.Errorf("noc: flit trace claims %d records", count)
+	if h := cr.Header(); h.Kind != flitTraceKind || h.Version != flitTraceVersion {
+		return nil, fmt.Errorf("noc: not a flit trace (%s v%d container)", h.Kind, h.Version)
+	}
+	tr := &FlitTrace{NumRouters: int(cr.U64())}
+	count := cr.U64()
+	body := cr.Rest()
+	if err := cr.Err(); err != nil {
+		return nil, fmt.Errorf("noc: flit trace: %w", err)
+	}
+	if count > uint64(len(body))/flitRecordSize || count*flitRecordSize != uint64(len(body)) {
+		return nil, fmt.Errorf("noc: flit trace claims %d records in %d body bytes", count, len(body))
 	}
 	tr.Records = make([]FlitRecord, count)
-	rec := make([]byte, flitRecordSize)
 	for i := range tr.Records {
-		if _, err := io.ReadFull(r, rec); err != nil {
-			return nil, fmt.Errorf("noc: flit trace record %d: %w", i, err)
-		}
+		b := body[i*flitRecordSize:]
 		tr.Records[i] = FlitRecord{
-			Cycle:  int64(binary.LittleEndian.Uint64(rec[0:])),
-			Packet: binary.LittleEndian.Uint64(rec[8:]),
-			Router: int16(binary.LittleEndian.Uint16(rec[16:])),
-			Port:   int16(binary.LittleEndian.Uint16(rec[18:])),
-			VC:     int16(binary.LittleEndian.Uint16(rec[20:])),
-			Kind:   EventKind(rec[22]),
+			Cycle:  int64(binary.LittleEndian.Uint64(b[0:])),
+			Packet: binary.LittleEndian.Uint64(b[8:]),
+			Router: int16(binary.LittleEndian.Uint16(b[16:])),
+			Port:   int16(binary.LittleEndian.Uint16(b[18:])),
+			VC:     int16(binary.LittleEndian.Uint16(b[20:])),
+			Kind:   EventKind(b[22]),
 			seq:    uint64(i),
 		}
 	}

@@ -2,8 +2,12 @@ package noc
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
+	"heteronoc/internal/ckpt"
 	"heteronoc/internal/obs"
 )
 
@@ -125,8 +129,8 @@ func TestFlitTraceBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ft.Records()
-	if got := buf.Len(); got != flitTraceHeaderSize+flitRecordSize*len(want) {
-		t.Fatalf("encoded %d bytes for %d records", got, len(want))
+	if h, err := ckpt.ReadHeader(buf.Bytes()); err != nil || h.Kind != flitTraceKind {
+		t.Fatalf("flit trace is not a %s container: %+v, %v", flitTraceKind, h, err)
 	}
 	tr, err := ReadFlitTrace(&buf)
 	if err != nil {
@@ -151,6 +155,45 @@ func TestReadFlitTraceRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadFlitTrace(bytes.NewReader([]byte("NOCFLT01"))); err == nil {
 		t.Fatal("truncated header accepted")
+	}
+}
+
+// TestReadFlitTraceHugeCountNoAlloc is the regression for a 24-byte file
+// claiming 2^32 records: the count is checked against the body bytes
+// before anything is allocated, so the read fails instead of exhausting
+// memory.
+func TestReadFlitTraceHugeCountNoAlloc(t *testing.T) {
+	w := ckpt.NewWriter(ckpt.Header{Kind: flitTraceKind, Version: flitTraceVersion})
+	w.U64(64)
+	w.U64(1 << 32)
+	data := w.Finish()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFlitTrace(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "claims") {
+		t.Fatalf("huge record count: err = %v, want a count error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a 2^32-record claim allocated %d bytes", grew)
+	}
+}
+
+// TestReadFlitTraceTruncatedFailsCRC: flit traces now carry the
+// container CRC, so a file cut short anywhere is rejected as corrupt.
+func TestReadFlitTraceTruncatedFailsCRC(t *testing.T) {
+	ft := NewFlitTracer(64, FlitTracerConfig{})
+	tracedMeshRun(t, ft)
+	var buf bytes.Buffer
+	if err := ft.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for _, cut := range []int{len(full) - 1, len(full) - flitRecordSize, len(full) / 2} {
+		_, err := ReadFlitTrace(bytes.NewReader(full[:cut]))
+		if !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "crc mismatch") {
+			t.Fatalf("cut at %d of %d: err = %v, want a CRC failure", cut, len(full), err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"heteronoc/internal/chaos"
+	"heteronoc/internal/ckpt"
 )
 
 // TestDiskStoreCrashMidWriteLeavesNoLoadablePartial simulates a process
@@ -56,9 +57,11 @@ func TestDiskStoreCrashMidWriteLeavesNoLoadablePartial(t *testing.T) {
 	}
 
 	// A torn write at the final path: every strict prefix of a valid
-	// entry must miss (magic too short, missing CRC, CRC mismatch over a
-	// truncated gob payload).
-	for _, cut := range []int{0, 1, len(diskMagic), len(diskMagic) + 4, len(full) / 2, len(full) - 1} {
+	// entry must miss (magic too short, header without body, CRC mismatch
+	// over a truncated gob payload).
+	empty := ckpt.NewWriter(ckpt.Header{Kind: diskKind, Version: diskVersion}).Finish()
+	header := len(empty) - 4 // magic + container header: where the gob body starts
+	for _, cut := range []int{0, 1, len(ckpt.Magic), header, len(full) / 2, len(full) - 1} {
 		if err := os.WriteFile(names[0], full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -10,9 +10,10 @@ package runcache
 //
 // The tier is strictly best-effort and corruption-tolerant: a missing,
 // truncated, mis-versioned or bit-flipped file — or a value that fails to
-// gob-decode — is a miss, never an error. Files carry a magic string and
-// a CRC32 of the payload; writes go to a temp file and rename into place
-// so readers never observe partial entries.
+// gob-decode — is a miss, never an error. Each file is a NOCCKPT01
+// container of kind "runcache" whose body is the gob-encoded value, so
+// the container's CRC covers it; writes go through ckpt.WriteFile (temp
+// file + rename) so readers never observe partial entries.
 //
 // Disk lookups and stores run inside the in-memory entry's sync.Once, so
 // singleflight is preserved across tiers: concurrent callers of one key
@@ -27,11 +28,9 @@ package runcache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,14 +39,16 @@ import (
 	"time"
 
 	"heteronoc/internal/chaos"
+	"heteronoc/internal/ckpt"
 )
 
 const (
-	diskMagic = "HNOCRC1\n"
-	// diskVersion is folded into every file name. Bump it whenever the
-	// envelope or any cached value's encoding changes; stale entries then
-	// hash to different names and age out via the LRU cap.
-	diskVersion = 2 // v2: traffic.RunResult gained attribution fields
+	diskKind = "runcache"
+	// diskVersion is folded into every file name and the container
+	// header. Bump it whenever the envelope or any cached value's encoding
+	// changes; stale entries then hash to different names and age out via
+	// the LRU cap.
+	diskVersion = 3 // v3: NOCCKPT01 envelope (v2: RunResult attribution fields)
 	diskExt     = ".rc"
 )
 
@@ -136,19 +137,13 @@ func diskLoad[T any](key string) (T, bool) {
 		c.Hit(chaos.PointDiskLoad)
 		data = c.Mangle(chaos.PointDiskCorrupt, data)
 	}
-	head := len(diskMagic) + 4
-	if len(data) < head || string(data[:len(diskMagic)]) != diskMagic {
-		diskMisses.Add(1)
-		return zero, false
-	}
-	want := binary.LittleEndian.Uint32(data[len(diskMagic):])
-	payload := data[head:]
-	if crc32.ChecksumIEEE(payload) != want {
+	r, err := ckpt.NewReader(data)
+	if err != nil || r.Header().Kind != diskKind || r.Header().Version != diskVersion {
 		diskMisses.Add(1)
 		return zero, false
 	}
 	var v T
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(r.Rest())).Decode(&v); err != nil {
 		diskMisses.Add(1)
 		return zero, false
 	}
@@ -168,30 +163,11 @@ func diskStore[T any](key string, v T) {
 	if c := diskChaos.Load(); c != nil {
 		c.Hit(chaos.PointDiskStore)
 	}
-	var buf bytes.Buffer
-	buf.WriteString(diskMagic)
-	buf.Write(make([]byte, 4)) // CRC placeholder
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+	w := ckpt.NewWriter(ckpt.Header{Kind: diskKind, Version: diskVersion})
+	if err := gob.NewEncoder(w).Encode(&v); err != nil {
 		return // unserializable value: memory-only entry
 	}
-	b := buf.Bytes()
-	binary.LittleEndian.PutUint32(b[len(diskMagic):], crc32.ChecksumIEEE(b[len(diskMagic)+4:]))
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, diskPath(dir, key)); err != nil {
-		os.Remove(name)
+	if ckpt.WriteFile(diskPath(dir, key), w.Finish()) != nil {
 		return
 	}
 	evictOverCap(dir)

@@ -1,11 +1,17 @@
 package runcache
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"heteronoc/internal/ckpt"
 )
 
 // withDiskDir points the disk tier at a fresh directory for one test and
@@ -87,7 +93,7 @@ func TestDiskTierToleratesCorruption(t *testing.T) {
 	corruptions := map[string][]byte{
 		"empty":     {},
 		"shortmag":  []byte("HN"),
-		"badmagic":  append([]byte("XXXXXXX\n"), data[len(diskMagic):]...),
+		"badmagic":  append([]byte("XXXXXXXXX"), data[len(ckpt.Magic):]...),
 		"truncated": data[:len(data)-1],
 		"bitflip": func() []byte {
 			b := append([]byte(nil), data...)
@@ -111,6 +117,40 @@ func TestDiskTierToleratesCorruption(t *testing.T) {
 		if calls != before+1 {
 			t.Fatalf("%s: corrupted entry was used instead of rerunning", name)
 		}
+	}
+}
+
+// TestDiskTierRetiredEnvelopeIsMiss: an entry in the retired HNOCRC1
+// envelope (magic, CRC, gob) sitting at a current cache path — say, a
+// cache directory shared with an older binary — is a counted disk miss
+// and the recipe reruns; it is never an error.
+func TestDiskTierRetiredEnvelopeIsMiss(t *testing.T) {
+	Reset()
+	defer Reset()
+	dir := withDiskDir(t)
+
+	var payload bytes.Buffer
+	v := 42
+	if err := gob.NewEncoder(&payload).Encode(&v); err != nil {
+		t.Fatal(err)
+	}
+	old := []byte("HNOCRC1\n")
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(payload.Bytes()))
+	old = append(old, payload.Bytes()...)
+	if err := os.WriteFile(diskPath(dir, "retired-k"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ran := false
+	got, err := For("retired-k", func() (int, error) { ran = true; return 7, nil })
+	if err != nil {
+		t.Fatalf("retired envelope surfaced an error: %v", err)
+	}
+	if !ran || got != 7 {
+		t.Fatalf("retired envelope was served (ran=%t v=%d)", ran, got)
+	}
+	if hit, miss, _ := DiskStats(); hit != 0 || miss != 1 {
+		t.Fatalf("disk hits/misses = %d/%d, want 0/1", hit, miss)
 	}
 }
 

@@ -9,14 +9,21 @@ import (
 	"sort"
 )
 
-// Chunked file format (HNTR2): the streaming successor to the flat HNTR
-// v1 stream. v1 is a single delta chain — decoding entry n means decoding
-// every entry before it, which is what forced warm-checkpoint restore
-// into an O(n) Next() replay. v2 splits the stream into fixed-size
+// Chunked file format (HNTR2), the repository's one on-disk trace
+// format. A single delta chain would mean decoding entry n requires
+// decoding every entry before it, forcing warm-checkpoint restore into an
+// O(n) Next() replay. HNTR2 instead splits the stream into fixed-size
 // chunks, each integrity-checked and independently decodable, with a
 // footer index mapping entry counts to chunk offsets, so any position in
 // the trace is reachable with one index lookup + one seek + one chunk
 // decode.
+//
+// HNTR2 deliberately keeps its own framing rather than riding in a
+// NOCCKPT01 container (internal/ckpt): it is the only streamed, seekable
+// format — written chunk by chunk without knowing its length, read by
+// seeking to one chunk without reading the rest — while the container is
+// whole-file and CRC-footed. Folding a chunk index into the container
+// would make it branch on which caller it serves.
 //
 //	header:  magic "HNTR2" | version u8 | reserved [2]byte
 //	chunk:   body | crc32(body) fixed32-LE
@@ -187,10 +194,11 @@ type chunkMeta struct {
 	before  int64 // entries in all preceding chunks
 }
 
-// ChunkReader replays an HNTR2 trace from any io.ReaderAt. Like
-// FileReader it is a total Reader — after the last entry it returns the
-// final entry with an enormous gap (an idle core) — and distinguishes
-// clean exhaustion from corruption via Err. Beyond that it is a
+// ChunkReader replays an HNTR2 trace from any io.ReaderAt. It is a total
+// Reader — after the last entry it returns the final entry with an
+// enormous gap, mimicking a finished program (an idle core) — and
+// distinguishes clean exhaustion from corruption via Err; callers that
+// care about integrity (tracetool info, tests) check Err after replay. Beyond that it is a
 // BatchReader (NextBatch decodes straight out of the chunk buffer, zero
 // allocations in steady state), a Seeker (SeekTo lands on any entry with
 // one chunk decode), and Stateful (SaveState is the 9-byte position).
@@ -426,9 +434,9 @@ func (c *ChunkReader) fail(err error) {
 	c.settle()
 }
 
-// Next implements Reader with FileReader's total semantics: after the
-// last entry (or a corrupt chunk — check Err) it returns the final good
-// entry with an enormous gap.
+// Next implements Reader with total semantics: after the last entry (or
+// a corrupt chunk — check Err) it returns the final good entry with an
+// enormous gap.
 func (c *ChunkReader) Next() Entry {
 	if c.cur < len(c.buf) {
 		e := c.buf[c.cur]

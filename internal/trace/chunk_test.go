@@ -41,7 +41,7 @@ func TestChunkRoundTrip(t *testing.T) {
 		t.Fatal("exhausted before the first post-EOF read")
 	}
 	// Total-Reader semantics: past the end, the final entry repeats with an
-	// idle gap, exactly like FileReader, and Err stays nil (clean EOF).
+	// idle gap, and Err stays nil (clean EOF).
 	for i := 0; i < 3; i++ {
 		e := r.Next()
 		if e.Gap != 1<<20 || e.Addr != want[len(want)-1].Addr {

@@ -2,66 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
-
-// FuzzFileRoundTrip drives the v1 Writer→FileReader pair with arbitrary
-// entry material — huge negative address deltas, zero-gap bursts,
-// pathological gap values — and checks the replay is exact and ends in a
-// clean (Err-free) EOF. The byte stream the fuzzer mutates is interpreted
-// as a sequence of (gap, delta, write) triples.
-func FuzzFileRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
-	f.Add(bytes.Repeat([]byte{0xff}, 64))         // max gaps, huge negative deltas
-	f.Add(bytes.Repeat([]byte{0x00, 0x80, 1}, 9)) // gap=0 bursts
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		const rec = 18 // 8 gap bytes + 8 delta bytes + 1 write byte + 1 spare
-		n := len(raw) / rec
-		if n > 4096 {
-			n = 4096
-		}
-		entries := make([]Entry, n)
-		addr := uint64(1 << 45)
-		for i := 0; i < n; i++ {
-			r := raw[i*rec:]
-			gap := int(uint32(r[0]) | uint32(r[1])<<8 | uint32(r[2])<<16) // keep Gap sane but allow 2^24-1
-			delta := int64(uint64(r[8]) | uint64(r[9])<<8 | uint64(r[10])<<16 | uint64(r[11])<<24 |
-				uint64(r[12])<<32 | uint64(r[13])<<40 | uint64(r[14])<<48 | uint64(r[15])<<56)
-			addr = uint64(int64(addr) + delta)
-			entries[i] = Entry{Gap: gap, Addr: addr, Write: r[16]&1 != 0}
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if err := w.Write(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewFileReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, want := range entries {
-			if got := r.Next(); got != want {
-				t.Fatalf("entry %d: %+v != %+v", i, got, want)
-			}
-		}
-		if e := r.Next(); e.Gap != 1<<20 {
-			t.Fatalf("post-EOF entry %+v", e)
-		}
-		if r.Err() != nil {
-			t.Fatalf("clean round trip reported corruption: %v", r.Err())
-		}
-	})
-}
 
 // FuzzChunkOpen throws arbitrary bytes at the HNTR2 parser: it must
 // reject or replay them without panicking, and any file it does accept
@@ -88,104 +30,4 @@ func FuzzChunkOpen(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestFileTruncationEveryPrefix replays every strict prefix of a valid
-// v1 trace. Prefixes that cut mid-entry must surface through Err — the
-// bug this pins down is the old behavior of treating any read failure as
-// a clean EOF — while entry-boundary prefixes must replay their entries
-// and end Err-free.
-func TestFileTruncationEveryPrefix(t *testing.T) {
-	var buf bytes.Buffer
-	entries := []Entry{
-		{Gap: 0, Addr: 1 << 44, Write: true}, // multi-byte delta
-		{Gap: 300, Addr: 0x80, Write: false}, // multi-byte gap, big negative delta
-		{Gap: 1, Addr: 0x81, Write: true},
-		{Gap: 0, Addr: 1 << 50, Write: false},
-	}
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundaries := map[int]int{8: 0} // byte offset -> entries decodable at it
-	for i, e := range entries {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		boundaries[buf.Len()] = i + 1
-	}
-	data := buf.Bytes()
-	for n := 8; n <= len(data); n++ {
-		r, err := NewFileReader(bytes.NewReader(data[:n]))
-		if err != nil {
-			t.Fatalf("prefix %d: open: %v", n, err)
-		}
-		decoded := 0
-		for {
-			r.Next()
-			if r.Exhausted() {
-				break
-			}
-			decoded++
-		}
-		wantEntries, clean := boundaries[n]
-		if clean {
-			if r.Err() != nil {
-				t.Fatalf("prefix %d is a clean boundary but Err = %v", n, r.Err())
-			}
-			if decoded != wantEntries {
-				t.Fatalf("prefix %d: decoded %d entries, want %d", n, decoded, wantEntries)
-			}
-		} else if r.Err() == nil {
-			t.Fatalf("prefix %d cuts mid-entry but replay reported clean EOF after %d entries", n, decoded)
-		}
-	}
-	// Header truncation is rejected at open.
-	for n := 0; n < 8; n++ {
-		if _, err := NewFileReader(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("header prefix %d accepted", n)
-		}
-	}
-}
-
-// TestFileReaderErrOnReadFailure distinguishes an underlying I/O error
-// from EOF: it must surface through Err too.
-func TestFileReaderErrOnReadFailure(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	_ = w.Write(Entry{Gap: 1, Addr: 64})
-	_ = w.Flush()
-	r, err := NewFileReader(&flakyReader{data: buf.Bytes(), failAt: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !r.Exhausted() {
-		r.Next()
-	}
-	if r.Err() == nil {
-		t.Fatal("read failure reported as clean EOF")
-	}
-}
-
-// flakyReader serves data but fails with a non-EOF error at offset
-// failAt.
-type flakyReader struct {
-	data   []byte
-	off    int
-	failAt int
-}
-
-func (f *flakyReader) Read(p []byte) (int, error) {
-	if f.off >= f.failAt {
-		return 0, io.ErrClosedPipe
-	}
-	n := copy(p, f.data[f.off:f.failAt])
-	f.off += n
-	if n == 0 {
-		return 0, io.EOF
-	}
-	return n, nil
 }

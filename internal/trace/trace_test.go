@@ -176,15 +176,41 @@ func TestSummarizeMatchesProfile(t *testing.T) {
 func TestSummarizeFileUnbounded(t *testing.T) {
 	p, _ := ProfileByName("vips")
 	var buf bytes.Buffer
-	if err := Record(&buf, NewGenerator(p, 1, 128), 2500); err != nil {
+	if err := RecordChunked(&buf, NewGenerator(p, 1, 128), 2500, 0); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewFileReader(&buf)
+	r, err := NewChunkReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := Summarize(r, 0)
 	if st.Entries != 2500 {
 		t.Errorf("file summary entries %d, want 2500", st.Entries)
+	}
+}
+
+// TestRecordSyntheticAndReplay: a recorded synthetic workload replays
+// entry for entry like a fresh generator.
+func TestRecordSyntheticAndReplay(t *testing.T) {
+	p, err := ProfileByName("SPECjbb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RecordChunked(&buf, NewGenerator(p, 3, 128), 5000, 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewChunkReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(p, 3, 128)
+	for i := 0; i < 5000; i++ {
+		if got, want := r.Next(), g.Next(); got != want {
+			t.Fatalf("entry %d: %+v, want %+v", i, got, want)
+		}
+	}
+	if r.Next(); !r.Exhausted() || r.Err() != nil {
+		t.Fatalf("after 5000 entries: exhausted=%t err=%v, want a clean end", r.Exhausted(), r.Err())
 	}
 }
