@@ -11,12 +11,13 @@ build:
 test:
 	go test ./...
 
-# tier1 is the gate every PR must keep green: build, the full test suite,
-# vet, the race detector over the packages that run worker pools
-# (experiments fan-out) or are exercised by them (the noc kernel), and the
-# benchmark harness, which is its own module (perfbench/go.mod) and so
-# outside ./... .
+# tier1 is the gate every PR must keep green: gofmt-clean sources, build,
+# the full test suite, vet, the race detector over the packages that run
+# worker pools (experiments fan-out) or are exercised by them (the noc
+# kernel), and the benchmark harness, which is its own module
+# (perfbench/go.mod) and so outside ./... .
 tier1:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	go build ./...
 	go test ./...
 	go vet ./...

@@ -206,7 +206,8 @@ func BenchmarkNetworkCycleTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net.SetTracer(noc.NewNetworkFlitTracer(net, noc.FlitTracerConfig{}))
+	ft := noc.NewNetworkFlitTracer(net, noc.FlitTracerConfig{})
+	net.SetObserver(noc.Observer{Packet: ft.Record, Detail: ft.Record})
 	gen := traffic.UniformRandom{N: 64}
 	proc := traffic.Bernoulli{P: 0.03}
 	rng := newBenchRng()

@@ -160,10 +160,10 @@ func main() {
 	}
 	if *manifestOut != "" {
 		m := &obs.Manifest{
-			Tool:       "noxsim",
-			ConfigHash: configHash(l, *patternName, *selfSim, *warmup, *packets, *seed, rates),
-			Layout:     l.Name,
-			Seeds:      []int64{*seed},
+			Tool:         "noxsim",
+			ConfigHash:   configHash(l, *patternName, *selfSim, *warmup, *packets, *seed, rates),
+			Layout:       l.Name,
+			Seeds:        []int64{*seed},
 			Fingerprints: fingerprints,
 			WallTimeSec:  time.Since(start).Seconds(),
 		}
@@ -210,14 +210,14 @@ func runOnce(l core.Layout, pattern traffic.Pattern, rate float64, selfSim bool,
 		reg := obs.NewRegistry()
 		net.RegisterMetrics(reg)
 		sampler := noc.NewSampler(net, noc.SampleConfig{Stride: ob.stride, PerRouter: true})
-		net.SetOnCycle(func(c int64) {
+		net.SetObserver(noc.Observer{Cycle: func(c int64) {
 			sampler.Tick(c)
 			if c%ob.stride == 0 {
 				// Render the exposition on the simulation thread; the HTTP
 				// goroutine only ever reads the snapshot's cached bytes.
 				ob.snap.Update(c, reg, sampler.Series())
 			}
-		})
+		}})
 		defer func() {
 			if ob.tsPath == "" {
 				return

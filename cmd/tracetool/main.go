@@ -104,7 +104,7 @@ func attrCmd(args []string) {
 		os.Exit(1)
 	}
 	rec := noc.NewAttrTrace(*ring)
-	net.SetAttrRecorder(rec)
+	net.SetObserver(noc.Observer{AttrHop: rec.AttrHop})
 	n := l.Mesh.NumTerminals()
 	var pat traffic.Pattern = traffic.UniformRandom{N: n}
 	if *hotFrac > 0 {
@@ -374,8 +374,12 @@ func nocrec(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	ft := noc.NewNetworkFlitTracer(net, noc.FlitTracerConfig{PerRouter: *ring, MacroOnly: *macroOnly})
-	net.SetTracer(ft)
+	ft := noc.NewNetworkFlitTracer(net, noc.FlitTracerConfig{PerRouter: *ring})
+	o := noc.Observer{Packet: ft.Record}
+	if !*macroOnly {
+		o.Detail = ft.Record
+	}
+	net.SetObserver(o)
 	if _, err := traffic.Run(net, traffic.RunConfig{
 		Pattern:        traffic.UniformRandom{N: m.NumTerminals()},
 		Process:        traffic.Bernoulli{P: *rate},

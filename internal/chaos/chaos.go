@@ -19,6 +19,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -175,6 +176,9 @@ func (c *Chaos) Mangle(name string, data []byte) []byte {
 // joined by "+". Example:
 //
 //	worker.panic=p0.1+panic,disk.load.slow=d50ms+p0.5,disk.load.corrupt=corrupt+p0.2
+//
+// A name that is not one of the Point constants is an error: it would arm
+// a point no code visits.
 func Parse(s string, seed int64) (*Chaos, error) {
 	c := New(seed)
 	if strings.TrimSpace(s) == "" {
@@ -185,6 +189,9 @@ func Parse(s string, seed int64) (*Chaos, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("chaos: bad clause %q (want name=actions)", clause)
 		}
+		if !slices.Contains(knownPoints, name) {
+			return nil, fmt.Errorf("chaos: unknown point %q in %q (known: %s)", name, clause, strings.Join(knownPoints, ", "))
+		}
 		spec := Spec{Prob: 1}
 		for _, a := range strings.Split(actions, "+") {
 			switch {
@@ -194,7 +201,7 @@ func Parse(s string, seed int64) (*Chaos, error) {
 				spec.Panic = true
 			case strings.HasPrefix(a, "p"):
 				p, err := strconv.ParseFloat(a[1:], 64)
-				if err != nil || p < 0 || p > 1 {
+				if err != nil || !(p >= 0 && p <= 1) { // also rejects NaN
 					return nil, fmt.Errorf("chaos: bad probability %q in %q", a, clause)
 				}
 				spec.Prob = p
@@ -228,3 +235,5 @@ const (
 	PointDiskStore   = "disk.store.slow"   // runcache disk tier, write path delay
 	PointRunStall    = "run.stall"         // traffic step loop, batch boundary
 )
+
+var knownPoints = []string{PointWorkerPanic, PointDiskLoad, PointDiskCorrupt, PointDiskStore, PointRunStall}

@@ -2,7 +2,7 @@ package noc
 
 // Causal latency attribution: every cycle of a delivered packet's life is
 // accounted to exactly one cause bucket, per hop, on an always-on counter
-// path that is far cheaper than the full DetailTracer event stream.
+// path that is far cheaper than the full Observer.Detail event stream.
 //
 // The accounting is exact by construction. For a packet with H hops the
 // head flit visits H+1 routers; its delivery timeline telescopes as
@@ -167,8 +167,8 @@ func (n *Network) settleAttrHop(rt *router, f *Flit) {
 	rt.atr[AttrCredit] += int64(p.hopCredit)
 	rt.atr[AttrSwitchAlloc] += sa
 	rt.atr[AttrLink] += 3
-	if n.attrRec != nil {
-		n.attrRec.AttrHop(AttrHopRec{
+	if n.obs != nil && n.obs.AttrHop != nil {
+		n.obs.AttrHop(AttrHopRec{
 			Cycle:  n.cycle,
 			Packet: p.ID,
 			Router: int32(rt.id),
@@ -191,26 +191,12 @@ type AttrHopRec struct {
 	VC, SA, Credit int32
 }
 
-// AttrRecorder receives per-hop attribution records. Implementations run
-// inside the sharded tick and must confine writes as a DetailTracer
-// would; AttrTrace below is the stock single-threaded recorder (install
-// it only on unsharded networks, like the DetailTracer).
-type AttrRecorder interface {
-	AttrHop(AttrHopRec)
-}
-
-// SetAttrRecorder installs the opt-in per-hop record mode (nil disables).
-// Records flow only while attribution itself is enabled.
-func (n *Network) SetAttrRecorder(r AttrRecorder) { n.attrRec = r }
-
 // AttrTrace is a bounded recorder of per-hop attribution records: a
 // fixed-capacity overwrite ring, convertible to a Perfetto-loadable
-// Chrome trace of per-router stall counters.
+// Chrome trace of per-router stall counters. Install it as
+// Observer{AttrHop: t.AttrHop}.
 type AttrTrace struct {
-	buf     []AttrHopRec
-	head    int
-	n       int
-	dropped uint64
+	ring overwriteRing[AttrHopRec]
 }
 
 // NewAttrTrace builds a recorder holding up to capacity records (zero
@@ -219,41 +205,18 @@ func NewAttrTrace(capacity int) *AttrTrace {
 	if capacity <= 0 {
 		capacity = 65536
 	}
-	return &AttrTrace{buf: make([]AttrHopRec, capacity)}
+	return &AttrTrace{ring: overwriteRing[AttrHopRec]{buf: make([]AttrHopRec, capacity)}}
 }
 
-// AttrHop implements AttrRecorder.
-func (t *AttrTrace) AttrHop(rec AttrHopRec) {
-	if t.n < len(t.buf) {
-		t.n++
-	} else {
-		t.dropped++
-	}
-	t.buf[t.head] = rec
-	t.head++
-	if t.head == len(t.buf) {
-		t.head = 0
-	}
-}
+// AttrHop records one hop, overwriting the oldest record when full.
+func (t *AttrTrace) AttrHop(rec AttrHopRec) { t.ring.push(rec) }
 
 // Dropped returns how many records ring wrap-around overwrote.
-func (t *AttrTrace) Dropped() uint64 { return t.dropped }
+func (t *AttrTrace) Dropped() uint64 { return t.ring.dropped }
 
 // Records returns the live records in capture order.
 func (t *AttrTrace) Records() []AttrHopRec {
-	out := make([]AttrHopRec, 0, t.n)
-	start := t.head - t.n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < t.n; i++ {
-		j := start + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		out = append(out, t.buf[j])
-	}
-	return out
+	return t.ring.appendTo(make([]AttrHopRec, 0, t.ring.n))
 }
 
 // AttrChromeEvents converts hop records into Chrome trace events for

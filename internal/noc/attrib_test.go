@@ -227,7 +227,7 @@ func TestAttributionSnapshotRoundTrip(t *testing.T) {
 func TestAttrTraceRecorder(t *testing.T) {
 	n := newMeshNet(t)
 	tr := NewAttrTrace(1 << 16)
-	n.SetAttrRecorder(tr)
+	n.SetObserver(Observer{AttrHop: tr.AttrHop})
 	perPacket := map[uint64][3]int64{}
 	n.SetOnPacket(func(p *Packet) {
 		a := p.Attribution()

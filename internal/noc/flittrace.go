@@ -30,62 +30,21 @@ type FlitTracerConfig struct {
 	// Zero means 4096. When an arena fills, the oldest records in it are
 	// overwritten and counted in Dropped.
 	PerRouter int
-	// MacroOnly restricts capture to packet life-cycle events, suppressing
-	// the VC-allocation / switch-allocation / credit-stall detail stream.
-	MacroOnly bool
-}
-
-// flitArena is one fixed-capacity overwrite ring of records.
-type flitArena struct {
-	buf  []FlitRecord
-	head int // next write slot
-	n    int // live records (≤ cap)
-}
-
-func (a *flitArena) push(rec FlitRecord) (overwrote bool) {
-	if a.n < len(a.buf) {
-		a.n++
-	} else {
-		overwrote = true
-	}
-	a.buf[a.head] = rec
-	a.head++
-	if a.head == len(a.buf) {
-		a.head = 0
-	}
-	return overwrote
-}
-
-// records appends the arena's live records in capture order.
-func (a *flitArena) records(out []FlitRecord) []FlitRecord {
-	start := a.head - a.n
-	if start < 0 {
-		start += len(a.buf)
-	}
-	for i := 0; i < a.n; i++ {
-		j := start + i
-		if j >= len(a.buf) {
-			j -= len(a.buf)
-		}
-		out = append(out, a.buf[j])
-	}
-	return out
 }
 
 // FlitTracer captures flit/packet events into per-router ring arenas with a
 // bounded memory footprint, for export to the binary trace format or a
-// Perfetto-loadable Chrome trace. It implements DetailTracer, so installing
-// it via SetTracer arms the microarchitectural hooks (unless MacroOnly).
+// Perfetto-loadable Chrome trace. Install Record as the Observer's Packet
+// stream, and also as its Detail stream to capture the microarchitectural
+// events; a macro-only capture leaves Detail nil.
 //
 // Per-router rings (rather than one global ring) keep a congested hot spot
 // from evicting the history of quiet routers, so a post-mortem still shows
 // every router's recent activity.
 type FlitTracer struct {
 	numRouters int
-	macroOnly  bool
-	arenas     []flitArena // one per router + one sink arena for ejects
+	arenas     []overwriteRing[FlitRecord] // one per router + one sink arena for ejects
 	seq        uint64
-	dropped    uint64
 }
 
 // NewFlitTracer builds a tracer for a network with numRouters routers.
@@ -97,8 +56,8 @@ func NewFlitTracer(numRouters int, cfg FlitTracerConfig) *FlitTracer {
 	if per <= 0 {
 		per = 4096
 	}
-	ft := &FlitTracer{numRouters: numRouters, macroOnly: cfg.MacroOnly}
-	ft.arenas = make([]flitArena, numRouters+1)
+	ft := &FlitTracer{numRouters: numRouters}
+	ft.arenas = make([]overwriteRing[FlitRecord], numRouters+1)
 	backing := make([]FlitRecord, (numRouters+1)*per)
 	for i := range ft.arenas {
 		ft.arenas[i].buf = backing[i*per : (i+1)*per]
@@ -107,40 +66,33 @@ func NewFlitTracer(numRouters int, cfg FlitTracerConfig) *FlitTracer {
 }
 
 // NewNetworkFlitTracer is NewFlitTracer sized for n, but not yet installed
-// (call n.SetTracer with the result).
+// (pass its Record to n.SetObserver).
 func NewNetworkFlitTracer(n *Network, cfg FlitTracerConfig) *FlitTracer {
 	return NewFlitTracer(len(n.routers), cfg)
 }
 
-func (ft *FlitTracer) record(e Event) {
+// Record captures one event into its router's arena.
+func (ft *FlitTracer) Record(e Event) {
 	idx := e.Router
 	if idx < 0 || idx >= ft.numRouters {
 		idx = ft.numRouters // sink arena: ejects and anything off-mesh
 	}
-	rec := FlitRecord{
+	ft.arenas[idx].push(FlitRecord{
 		Cycle: e.Cycle, Packet: e.Packet, Kind: e.Kind,
 		Router: int16(e.Router), Port: e.Port, VC: e.VC,
 		seq: ft.seq,
-	}
+	})
 	ft.seq++
-	if ft.arenas[idx].push(rec) {
-		ft.dropped++
-	}
-}
-
-// PacketEvent implements Tracer.
-func (ft *FlitTracer) PacketEvent(e Event) { ft.record(e) }
-
-// DetailEvent implements DetailTracer.
-func (ft *FlitTracer) DetailEvent(e Event) {
-	if ft.macroOnly {
-		return
-	}
-	ft.record(e)
 }
 
 // Dropped returns how many records were overwritten by ring wrap-around.
-func (ft *FlitTracer) Dropped() uint64 { return ft.dropped }
+func (ft *FlitTracer) Dropped() uint64 {
+	var total uint64
+	for i := range ft.arenas {
+		total += ft.arenas[i].dropped
+	}
+	return total
+}
 
 // Len returns the number of live records across all arenas.
 func (ft *FlitTracer) Len() int {
@@ -155,7 +107,7 @@ func (ft *FlitTracer) Len() int {
 func (ft *FlitTracer) Records() []FlitRecord {
 	out := make([]FlitRecord, 0, ft.Len())
 	for i := range ft.arenas {
-		out = ft.arenas[i].records(out)
+		out = ft.arenas[i].appendTo(out)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out

@@ -61,12 +61,19 @@ func TestCollectingTracerPathOfAndDump(t *testing.T) {
 	}
 }
 
-// tracedMeshRun drives a loaded mesh with ft installed and returns the
-// network.
+// tracedMeshRun drives a loaded mesh with ft capturing both the Packet and
+// the Detail stream and returns the network.
 func tracedMeshRun(t *testing.T, ft *FlitTracer) *Network {
 	t.Helper()
+	return observedMeshRun(t, Observer{Packet: ft.Record, Detail: ft.Record})
+}
+
+// observedMeshRun drives a loaded mesh with o installed and returns the
+// network.
+func observedMeshRun(t *testing.T, o Observer) *Network {
+	t.Helper()
 	n := newMeshNet(t)
-	n.SetTracer(ft)
+	n.SetObserver(o)
 	for i := 0; i < 40; i++ {
 		n.Inject(&Packet{Src: i % 64, Dst: (i*17 + 5) % 64, NumFlits: 4})
 	}
@@ -98,9 +105,14 @@ func TestFlitTracerCapturesDetail(t *testing.T) {
 	}
 }
 
+// TestFlitTracerMacroOnly: a macro-only capture is an Observer with no
+// Detail stream.
 func TestFlitTracerMacroOnly(t *testing.T) {
-	ft := NewFlitTracer(64, FlitTracerConfig{MacroOnly: true})
-	tracedMeshRun(t, ft)
+	ft := NewFlitTracer(64, FlitTracerConfig{})
+	observedMeshRun(t, Observer{Packet: ft.Record})
+	if ft.Len() == 0 {
+		t.Fatal("no records captured")
+	}
 	for _, r := range ft.Records() {
 		switch r.Kind {
 		case EvVCAlloc, EvSwitchAlloc, EvCreditStall:

@@ -94,12 +94,11 @@ func (n *Network) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		rl := append(append([]obs.Label(nil), labels...), obs.L("router", strconv.Itoa(r)))
 		reg.RegisterGauge("noc_router_link_utilization", "mean busy fraction of live output links", rl,
 			func() float64 {
-				cyc := s.Cycles
-				live := liveLinkCount(rt)
-				if cyc == 0 || live == 0 {
+				busy, live := liveLinks(rt)
+				if s.Cycles == 0 || live == 0 {
 					return 0
 				}
-				return float64(liveBusySum(rt)) / float64(cyc) / float64(live)
+				return float64(busy) / float64(s.Cycles) / float64(live)
 			})
 		reg.RegisterGauge("noc_router_buffer_occupancy", "mean fraction of buffer slots occupied", rl,
 			func() float64 {

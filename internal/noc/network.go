@@ -87,16 +87,13 @@ type Network struct {
 
 	onPacket func(*Packet)
 	onDrop   func(*Packet, DropReason)
-	onCycle  func(cycle int64)
-	tracer   Tracer
-	detail   DetailTracer
+	obs      *Observer // nil unless SetObserver armed a stream
 	stats    Stats
 
 	// Causal latency attribution (attrib.go): the always-on counter path
-	// toggle, the opt-in per-hop recorder, and the terminal→router map used
-	// to charge queue/serialization cycles to endpoint routers at sink time.
+	// toggle and the terminal→router map used to charge queue/serialization
+	// cycles to endpoint routers at sink time.
 	atrOn      bool
-	attrRec    AttrRecorder
 	termRouter []int32
 
 	// Intra-cycle sharding (see shard.go). directFx is the always-present
@@ -252,12 +249,6 @@ func (n *Network) SetOnPacket(fn func(*Packet)) { n.onPacket = fn }
 // The reliability layer uses it for accounting; recovery is timer driven.
 func (n *Network) SetOnDrop(fn func(*Packet, DropReason)) { n.onDrop = fn }
 
-// SetOnCycle registers a callback invoked at the end of every successful
-// Step, after all per-cycle statistics have been accumulated. The sampler
-// (sample.go) and live-introspection snapshots hang off this hook; when nil
-// the hot path pays one branch per cycle.
-func (n *Network) SetOnCycle(fn func(cycle int64)) { n.onCycle = fn }
-
 // Config returns the network configuration (read-only).
 func (n *Network) Config() *Config { return &n.cfg }
 
@@ -336,8 +327,8 @@ func (n *Network) Step() error {
 		n.switchAllocate(0, len(n.routers), &n.directFx)
 	}
 	n.accumulate()
-	if n.onCycle != nil {
-		n.onCycle(n.cycle)
+	if n.obs != nil && n.obs.Cycle != nil {
+		n.obs.Cycle(n.cycle)
 	}
 	if w := n.cfg.WatchdogCycles; w > 0 && n.flitsInNetwork > 0 && n.cycle-n.lastMove > int64(w) {
 		return fmt.Errorf("noc: deadlock watchdog: no flit moved for %d cycles at cycle %d (%d flits in flight)\n%s",
@@ -444,7 +435,7 @@ func (n *Network) deliverPort(op *outputPort) {
 		rt.bufWrites++
 		if f.Kind.IsHead() && op.router >= 0 {
 			f.Pkt.Hops++
-			n.trace(EvHop, f.Pkt.ID, op.link.Router)
+			n.trace(EvHop, f.Pkt, op.link.Router, -1, -1)
 		}
 	}
 }
@@ -474,7 +465,7 @@ func (n *Network) sink(f Flit) {
 			dst := &n.routers[n.termRouter[p.Dst]]
 			dst.atr[AttrSerialization] += n.cycle - p.headRecv
 		}
-		n.trace(EvEject, p.ID, -1)
+		n.trace(EvEject, p, -1, -1, -1)
 		n.stats.recordPacket(p)
 		if n.onPacket != nil {
 			n.onPacket(p)
@@ -522,7 +513,7 @@ func (n *Network) inject() {
 			q.waitVC = 0
 			p.vcClass = class
 			p.InjectCycle = n.cycle
-			n.trace(EvInject, p.ID, q.up.link.Router)
+			n.trace(EvInject, p, q.up.link.Router, -1, -1)
 			q.pop()
 			n.queuedPackets--
 			st := niStream{pkt: p, vc: vc}
@@ -648,10 +639,7 @@ func (n *Network) routeAndAllocate(lo, hi int, fx *tickFx) {
 						vc.waitCycles = 0
 						ip.raMask &^= 1 << vi
 						ip.saMask |= 1 << vi
-						if n.detail != nil {
-							n.detail.DetailEvent(Event{Cycle: n.cycle, Kind: EvVCAlloc,
-								Packet: p.ID, Router: r, Port: vc.outPort, VC: int16(ovc)})
-						}
+						n.trace(EvVCAlloc, p, r, vc.outPort, int16(ovc))
 						continue
 					}
 					vc.waitCycles++
@@ -661,7 +649,7 @@ func (n *Network) routeAndAllocate(lo, hi int, fx *tickFx) {
 					}
 					if n.escaper != nil && !p.escaped && int(vc.waitCycles) > n.escaper.EscapeThreshold() {
 						p.escaped = true
-						n.trace(EvEscape, p.ID, r)
+						n.trace(EvEscape, p, r, -1, -1)
 						d := n.escaper.EscapeHop(r, p.Src, p.Dst)
 						if d.OutPort < 0 || rt.out[d.OutPort].dead {
 							fx.markBroken(p, DropUnroutable)
@@ -709,7 +697,7 @@ func (n *Network) routeAndAllocate(lo, hi int, fx *tickFx) {
 					continue
 				}
 				p.escaped = true
-				n.trace(EvEscape, p.ID, r)
+				n.trace(EvEscape, p, r, -1, -1)
 				n.stats.Escapes++
 				vc.outPort, vc.class = int16(d.OutPort), int16(d.VCClass)
 				p.vcClass = d.VCClass
@@ -826,10 +814,7 @@ func (n *Network) switchAllocate(lo, hi int, fx *tickFx) {
 									hf.Pkt.hopCredit++
 								}
 							}
-							if n.detail != nil {
-								n.detail.DetailEvent(Event{Cycle: n.cycle, Kind: EvCreditStall,
-									Packet: vc.cur.ID, Router: r, Port: vc.outPort, VC: vc.outVC})
-							}
+							n.trace(EvCreditStall, vc.cur, r, vc.outPort, vc.outVC)
 						}
 						continue
 					}
@@ -898,10 +883,7 @@ func (n *Network) sendFlit(rt *router, inPort int, vc *inVC, out *outputPort, fx
 	rt.xbarFlits++
 	out.flitsSent++
 	fx.progress()
-	if n.detail != nil {
-		n.detail.DetailEvent(Event{Cycle: n.cycle, Kind: EvSwitchAlloc,
-			Packet: f.Pkt.ID, Router: rt.id, Port: int16(out.port), VC: vc.outVC})
-	}
+	n.trace(EvSwitchAlloc, f.Pkt, rt.id, int16(out.port), vc.outVC)
 	if up := ip.upstream; up != nil {
 		up.creditQ.push(creditEvt{vc: int(vc.idx), at: n.cycle + 1})
 		if up.router >= 0 {

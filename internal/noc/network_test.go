@@ -536,7 +536,7 @@ func TestPerClassStats(t *testing.T) {
 func TestTracerRecordsPath(t *testing.T) {
 	n := newMeshNet(t)
 	tr := &CollectingTracer{}
-	n.SetTracer(tr)
+	n.SetObserver(Observer{Packet: tr.PacketEvent})
 	n.Inject(&Packet{Src: 0, Dst: 10, NumFlits: 2}) // (0,0) -> (2,1): E,E,S
 	var id uint64
 	n.SetOnPacket(func(p *Packet) { id = p.ID })
@@ -572,7 +572,7 @@ func TestTracerRecordsPath(t *testing.T) {
 func TestTracerFilter(t *testing.T) {
 	n := newMeshNet(t)
 	tr := &CollectingTracer{Filter: true, Only: 2}
-	n.SetTracer(tr)
+	n.SetObserver(Observer{Packet: tr.PacketEvent})
 	n.Inject(&Packet{Src: 0, Dst: 5, NumFlits: 1}) // ID 1
 	n.Inject(&Packet{Src: 8, Dst: 9, NumFlits: 1}) // ID 2
 	runUntilQuiesced(t, n, 500)

@@ -92,7 +92,7 @@ func TestFaultPlanPathsAvoidDeadLinks(t *testing.T) {
 		})
 		n := faultMeshNet(t, plan)
 		tr := &CollectingTracer{}
-		n.SetTracer(tr)
+		n.SetObserver(Observer{Packet: tr.PacketEvent})
 		rel := NewReliable(n, ReliableConfig{Timeout: 256, MaxRetries: 8})
 		delivered := map[xferKey]int{}
 		var deliveredIDs []uint64

@@ -151,3 +151,36 @@ func (q *evq[T]) grow() {
 	}
 	q.buf, q.head = nb, 0
 }
+
+// overwriteRing is a fixed-capacity ring that keeps the newest values:
+// pushing into a full ring overwrites the oldest value and counts it as
+// dropped. The observation recorders (FlitTracer, AttrTrace) bound their
+// memory with it. buf must be non-empty.
+type overwriteRing[T any] struct {
+	buf     []T
+	head    int // next write slot
+	n       int // live values (≤ len(buf))
+	dropped uint64
+}
+
+func (r *overwriteRing[T]) push(v T) {
+	if r.n < len(r.buf) {
+		r.n++
+	} else {
+		r.dropped++
+	}
+	r.buf[r.head] = v
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+}
+
+// appendTo appends the live values to out, oldest first.
+func (r *overwriteRing[T]) appendTo(out []T) []T {
+	start := r.head - r.n
+	if start >= 0 {
+		return append(out, r.buf[start:r.head]...)
+	}
+	return append(append(out, r.buf[start+len(r.buf):]...), r.buf[:r.head]...)
+}

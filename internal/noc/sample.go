@@ -20,8 +20,8 @@ type SampleConfig struct {
 // each sample is the state (in-flight flits, queued packets) and windowed
 // rates (flit injection/delivery, wide-link combining, per-router occupancy
 // and utilization) since the previous sample. Wire its Tick into the
-// network's per-cycle hook (Attach does this), then export Series as JSON
-// or CSV for heat-map animation.
+// network Observer's Cycle stream (Attach does this), then export Series
+// as JSON or CSV for heat-map animation.
 //
 // Window deltas are computed against the cumulative simulator counters and
 // survive ResetStats: a counter that moved backwards is treated as freshly
@@ -43,8 +43,8 @@ type Sampler struct {
 	row          []float64
 }
 
-// NewSampler builds a sampler for n. Call Attach (or wire Tick into
-// SetOnCycle yourself, composing with other per-cycle work).
+// NewSampler builds a sampler for n. Call Attach (or wire Tick into an
+// Observer's Cycle yourself, composing with other per-cycle work).
 func NewSampler(n *Network, cfg SampleConfig) *Sampler {
 	stride := cfg.Stride
 	if stride <= 0 {
@@ -68,8 +68,9 @@ func NewSampler(n *Network, cfg SampleConfig) *Sampler {
 	return s
 }
 
-// Attach installs Tick as the network's per-cycle hook.
-func (s *Sampler) Attach() { s.n.SetOnCycle(s.Tick) }
+// Attach installs an Observer whose Cycle stream is Tick, replacing any
+// observer already on the network.
+func (s *Sampler) Attach() { s.n.SetObserver(Observer{Cycle: s.Tick}) }
 
 // Series returns the captured time series (live; keeps growing while the
 // sampler is attached).
@@ -95,7 +96,7 @@ func (s *Sampler) resync() {
 		for r := range n.routers {
 			rt := &n.routers[r]
 			s.prevBufOcc[r] = rt.bufOccSum
-			s.prevBusy[r] = liveBusySum(rt)
+			s.prevBusy[r], _ = liveLinks(rt)
 		}
 	}
 }
@@ -114,42 +115,29 @@ func (n *Network) wideLinkCounters() (wideBusy, combined int64) {
 	return wideBusy, combined
 }
 
-// liveBusySum sums busyCycles over a router's live network links.
-func liveBusySum(rt *router) int64 {
-	var busy int64
+// liveLinks sums busyCycles over a router's live network links and
+// counts them.
+func liveLinks(rt *router) (busy int64, live int) {
 	for _, op := range rt.out {
 		if op.dead || op.isTerm {
 			continue
 		}
 		busy += op.busyCycles
-	}
-	return busy
-}
-
-func liveLinkCount(rt *router) int {
-	live := 0
-	for _, op := range rt.out {
-		if op.dead || op.isTerm {
-			continue
-		}
 		live++
 	}
-	return live
+	return busy, live
 }
 
-// Tick is the per-cycle hook; it captures a sample on stride boundaries.
-// A tick at or before the last sampled cycle (a re-attached or restored
-// hook replaying a boundary) is ignored, so each window edge is attributed
-// exactly once.
+// Tick is the Observer.Cycle callback; it captures a sample on stride
+// boundaries. A tick at or before the last sampled cycle (a re-attached or
+// restored hook replaying a boundary) is ignored, so each window edge is
+// attributed exactly once.
 func (s *Sampler) Tick(cycle int64) {
 	if cycle%s.stride != 0 || cycle <= s.lastCycle {
 		return
 	}
 	n := s.n
-	window := cycle - s.lastCycle
-	if window <= 0 {
-		window = s.stride
-	}
+	window := cycle - s.lastCycle // > 0: earlier ticks returned above
 	s.lastCycle = cycle
 
 	row := s.row
@@ -177,11 +165,11 @@ func (s *Sampler) Tick(cycle int64) {
 				occ = float64(dOcc) / float64(window) / float64(rt.bufSlots)
 			}
 			row[5+r] = occ
-			busy := liveBusySum(rt)
+			busy, live := liveLinks(rt)
 			dB := delta(busy, s.prevBusy[r])
 			s.prevBusy[r] = busy
 			util := 0.0
-			if live := liveLinkCount(rt); live > 0 {
+			if live > 0 {
 				util = float64(dB) / float64(window) / float64(live)
 			}
 			row[5+nr+r] = util

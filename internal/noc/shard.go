@@ -23,10 +23,11 @@ package noc
 // Under that discipline the merged state is byte-identical to the
 // sequential kernel for every worker count, which the golden fingerprints
 // and the par determinism test pin down. Sharding is only taken on cycles
-// with no cross-cutting machinery active: no tracer (event order), no
-// escaper (global escape stats and trace events in stage 1a), no armed
-// faults (purges walk the whole network). Those runs fall back to the
-// sequential path and stay bit-identical too.
+// with no cross-cutting machinery active: no Observer (one deterministic
+// event order, callbacks that need not be thread safe), no escaper
+// (global escape stats in stage 1a), no armed faults (purges walk the
+// whole network). Those runs fall back to the sequential path and stay
+// bit-identical too.
 
 import "heteronoc/internal/par"
 
@@ -126,9 +127,10 @@ func (n *Network) Close() {
 }
 
 // shardable reports whether this cycle's allocation stages may run on the
-// worker pool: no machinery with global side effects can be active.
+// worker pool: no observer and no machinery with global side effects can
+// be active.
 func (n *Network) shardable() bool {
-	return n.pool != nil && n.tracer == nil && n.escaper == nil && !n.faultsArmed
+	return n.pool != nil && n.obs == nil && n.escaper == nil && !n.faultsArmed
 }
 
 // allocateSharded runs stages 1a and 1b+2 over contiguous router spans on

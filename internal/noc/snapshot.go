@@ -54,9 +54,9 @@ const (
 const (
 	opHasFault   = 1 << iota // dead, or a transient-fault window
 	opHasCredits             // consumed credits, owners or pending frees
-	opHasArb     // advanced round-robin pointers
-	opHasEvents  // queued wire or credit events
-	opHasStats   // nonzero traffic counters
+	opHasArb                 // advanced round-robin pointers
+	opHasEvents              // queued wire or credit events
+	opHasStats               // nonzero traffic counters
 	opFlagsAll   = opHasFault | opHasCredits | opHasArb | opHasEvents | opHasStats
 )
 

@@ -15,10 +15,10 @@ import "fmt"
 
 // fastForwardable reports whether the network is in a state where cycles
 // up to the event horizon cannot change any observable state. It is
-// deliberately conservative: any attached per-cycle observer (sampler,
-// tracer) or pending purge disables the jump.
+// deliberately conservative: an installed Observer (which sees every
+// cycle) or a pending purge disables the jump.
 func (n *Network) fastForwardable() bool {
-	if n.queuedPackets != 0 || n.onCycle != nil || n.tracer != nil || n.detail != nil {
+	if n.queuedPackets != 0 || n.obs != nil {
 		return false
 	}
 	if len(n.brokenQ) != 0 {
@@ -75,25 +75,23 @@ func (n *Network) eventHorizon() (horizon int64, ok bool) {
 
 // skipIdleCycles advances the clock to just before the event horizon when
 // the network is provably idle, accounting the skipped cycles into the
-// statistics exactly as the equivalent no-op Steps would have. It returns
-// the number of cycles skipped.
-func (n *Network) skipIdleCycles() int64 {
+// statistics exactly as the equivalent no-op Steps would have. A positive
+// deadline is one more event the jump must not pass (the reliability
+// layer's earliest retransmission timer).
+func (n *Network) skipIdleCycles(deadline int64) {
 	if !n.fastForwardable() {
-		return 0
+		return
 	}
 	horizon, ok := n.eventHorizon()
-	if !ok {
-		return 0
+	if deadline > 0 && (!ok || deadline < horizon) {
+		horizon, ok = deadline, true
 	}
 	// The next Step runs at cycle+1; skip only the cycles strictly before
 	// the horizon so the event-bearing cycle itself executes for real.
-	skip := horizon - n.cycle - 1
-	if skip <= 0 {
-		return 0
+	if skip := horizon - n.cycle - 1; ok && skip > 0 {
+		n.cycle += skip
+		n.stats.Cycles += skip
 	}
-	n.cycle += skip
-	n.stats.Cycles += skip
-	return skip
 }
 
 // StepUntilQuiesced steps the network until no traffic remains, jumping
@@ -108,7 +106,7 @@ func (n *Network) StepUntilQuiesced(maxCycles int64) (int64, error) {
 			return n.cycle - start, fmt.Errorf("noc: network did not quiesce within %d cycles (%d flits in flight, %d queued)",
 				maxCycles, n.flitsInNetwork, n.queuedPackets)
 		}
-		n.skipIdleCycles()
+		n.skipIdleCycles(0)
 		if err := n.Step(); err != nil {
 			return n.cycle - start, err
 		}
@@ -132,18 +130,11 @@ func (rel *Reliable) StepUntilQuiesced(maxCycles int64) (int64, error) {
 		// The retransmission timers are an extra event source: cap the
 		// network's idle jump at the earliest deadline so the timer pop in
 		// Reliable.Step happens on exactly the cycle it always would.
-		if n.fastForwardable() {
-			horizon, ok := n.eventHorizon()
-			if len(rel.timers) > 0 && (!ok || rel.timers[0].deadline < horizon) {
-				horizon, ok = rel.timers[0].deadline, true
-			}
-			if ok {
-				if skip := horizon - n.cycle - 1; skip > 0 {
-					n.cycle += skip
-					n.stats.Cycles += skip
-				}
-			}
+		var deadline int64
+		if len(rel.timers) > 0 {
+			deadline = rel.timers[0].deadline
 		}
+		n.skipIdleCycles(deadline)
 		if err := rel.Step(); err != nil {
 			return n.cycle - start, err
 		}

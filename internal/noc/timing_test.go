@@ -19,7 +19,7 @@ import (
 func TestPipelineTimingDocumentation(t *testing.T) {
 	n := newMeshNet(t)
 	tr := &CollectingTracer{}
-	n.SetTracer(tr)
+	n.SetObserver(Observer{Packet: tr.PacketEvent})
 	n.Inject(&Packet{Src: 0, Dst: 2, NumFlits: 1}) // routers 0 -> 1 -> 2
 	runUntilQuiesced(t, n, 100)
 	want := []struct {

@@ -1,11 +1,6 @@
 package noc
 
-import (
-	"fmt"
-	"strings"
-)
-
-// EventKind classifies packet life-cycle events for the tracer.
+// EventKind classifies the events an Observer receives.
 type EventKind uint8
 
 const (
@@ -18,9 +13,9 @@ const (
 	// EvEject: the tail flit was consumed at the destination.
 	EvEject
 
-	// Detail events, emitted only when the installed tracer implements
-	// DetailTracer (see flittrace.go). They expose the microarchitectural
-	// pipeline the macro events skip over:
+	// Detail events, emitted only to an Observer with a Detail stream.
+	// They expose the microarchitectural pipeline the macro events skip
+	// over:
 
 	// EvVCAlloc: a waiting head won a downstream virtual channel.
 	EvVCAlloc
@@ -53,7 +48,7 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// Event is one tracer record.
+// Event is one Packet or Detail observation.
 type Event struct {
 	Cycle  int64
 	Kind   EventKind
@@ -69,78 +64,61 @@ type Event struct {
 	VC   int16
 }
 
-// Tracer receives packet life-cycle events. Implementations must be fast:
-// the hooks sit on the simulator's hot path when tracing is enabled.
-type Tracer interface {
-	PacketEvent(e Event)
+// Observer is the one hook through which the kernel reports what it does.
+// Each non-nil field is a capability, called on the stepping goroutine:
+//
+//   - Packet receives the packet life-cycle events (inject, hop, escape,
+//     eject);
+//   - Detail receives the microarchitectural events (VC allocation, switch
+//     allocation, credit stalls), interleaved with Packet in kernel order;
+//   - AttrHop receives one per-hop attribution record per settled head
+//     flit, while attribution is enabled (attrib.go);
+//   - Cycle is called at the end of every successful Step, after all
+//     per-cycle statistics have been accumulated (the sampler hangs off
+//     it).
+//
+// Observation disables intra-cycle sharding and idle fast-forward: a
+// network with an observer always runs the sequential kernel cycle by
+// cycle, so every stream sees one deterministic order at any worker count
+// and the callbacks never race. Callbacks must be fast: they sit on the
+// hot path while installed.
+type Observer struct {
+	Packet  func(Event)
+	Detail  func(Event)
+	AttrHop func(AttrHopRec)
+	Cycle   func(cycle int64)
 }
 
-// DetailTracer is the opt-in extension for microarchitectural events
-// (EvVCAlloc, EvSwitchAlloc, EvCreditStall). Installing a Tracer that also
-// implements DetailTracer arms the detail hooks; a plain Tracer never sees
-// (or pays for) them.
-type DetailTracer interface {
-	Tracer
-	DetailEvent(e Event)
-}
-
-// SetTracer installs (or removes, with nil) the event tracer. Tracing
-// disables intra-cycle sharding (event order is part of the observable
-// behavior), so traced runs execute on the sequential kernel.
-func (n *Network) SetTracer(t Tracer) {
-	n.tracer = t
-	n.detail, _ = t.(DetailTracer)
-}
-
-func (n *Network) trace(kind EventKind, pkt uint64, router int) {
-	if n.tracer != nil {
-		n.tracer.PacketEvent(Event{Cycle: n.cycle, Kind: kind, Packet: pkt, Router: router, Port: -1, VC: -1})
+// SetObserver installs o, replacing any previous observer. An Observer
+// with every field nil removes observation; the hot path then pays one
+// branch per hook point.
+func (n *Network) SetObserver(o Observer) {
+	n.obs = nil
+	if o.Packet != nil || o.Detail != nil || o.AttrHop != nil || o.Cycle != nil {
+		n.obs = &o
 	}
 }
 
-// CollectingTracer buffers macro events, optionally filtered to one packet
-// ID. It is the ready-made implementation for debugging and tests; for
-// microarchitectural detail and bounded memory use FlitTracer.
-type CollectingTracer struct {
-	// Filter enables filtering: only events of packet Only are kept.
-	// (Packet IDs start at 1, but 0 is a legal value to filter for, so
-	// the switch is explicit rather than a zero-value sentinel.)
-	Filter bool
-	Only   uint64
-	Events []Event
+// trace reports one event about packet p to the observer's Packet stream,
+// or to its Detail stream for EvVCAlloc onwards; port and vc are -1 on
+// macro events. Only the nil check inlines into the kernel and p is read
+// only behind it, so an unobserved network pays one branch per hook point.
+func (n *Network) trace(kind EventKind, p *Packet, router int, port, vc int16) {
+	if n.obs != nil {
+		n.obs.dispatch(n.cycle, kind, p, router, port, vc)
+	}
 }
 
-// PacketEvent implements Tracer.
-func (c *CollectingTracer) PacketEvent(e Event) {
-	if c.Filter && e.Packet != c.Only {
-		return
+// dispatch stays out of line: inlined into trace it would push trace past
+// the inliner's budget.
+//
+//go:noinline
+func (o *Observer) dispatch(cycle int64, kind EventKind, p *Packet, router int, port, vc int16) {
+	fn := o.Packet
+	if kind >= EvVCAlloc {
+		fn = o.Detail
 	}
-	c.Events = append(c.Events, e)
-}
-
-// PathOf returns the router sequence a packet visited.
-func (c *CollectingTracer) PathOf(pkt uint64) []int {
-	var out []int
-	for _, e := range c.Events {
-		if e.Packet != pkt {
-			continue
-		}
-		switch e.Kind {
-		case EvInject, EvHop:
-			out = append(out, e.Router)
-		}
+	if fn != nil {
+		fn(Event{Cycle: cycle, Kind: kind, Packet: p.ID, Router: router, Port: port, VC: vc})
 	}
-	return out
-}
-
-// Dump renders the event log for one packet.
-func (c *CollectingTracer) Dump(pkt uint64) string {
-	var b strings.Builder
-	for _, e := range c.Events {
-		if e.Packet != pkt {
-			continue
-		}
-		fmt.Fprintf(&b, "cycle %6d  %-7s router %d\n", e.Cycle, e.Kind, e.Router)
-	}
-	return b.String()
 }

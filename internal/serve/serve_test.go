@@ -469,16 +469,18 @@ func TestHealthzStallWatchdog(t *testing.T) {
 			if resp.StatusCode != http.StatusServiceUnavailable {
 				t.Fatalf("stalled healthz returned %d, want 503", resp.StatusCode)
 			}
-			stalled = true
-			break
+			// A slow batch (say, under -race on a small machine) can trip
+			// the 50 ms watchdog before the chaos stall begins; only a
+			// report made once the stall point has fired counts.
+			if ch.Fired(chaos.PointRunStall) > 0 {
+				stalled = true
+				break
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !stalled {
-		t.Fatal("watchdog never reported the chaos-stalled run")
-	}
-	if ch.Fired(chaos.PointRunStall) == 0 {
-		t.Fatal("stall point never fired")
+		t.Fatalf("watchdog never reported the chaos-stalled run (stall point fired %d times)", ch.Fired(chaos.PointRunStall))
 	}
 }
 

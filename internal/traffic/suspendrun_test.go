@@ -10,14 +10,14 @@ import (
 )
 
 // suspendAfter flips the controller to "suspend requested" once the
-// network reaches the given cycle, via the network's on-cycle hook (which
-// runs on the stepping goroutine, so no synchronization is needed).
+// network reaches the given cycle, via the network observer's Cycle stream
+// (which runs on the stepping goroutine, so no synchronization is needed).
 func suspendAfter(net *noc.Network, c *suspend.Controller, cycle int64) {
-	net.SetOnCycle(func(cyc int64) {
+	net.SetObserver(noc.Observer{Cycle: func(cyc int64) {
 		if cyc >= cycle {
 			c.RequestSuspend()
 		}
-	})
+	}})
 }
 
 func suspendRunCfg(proc Process) RunConfig {
@@ -129,11 +129,11 @@ func TestCancellationBounded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const cancelAt = 5000
-	net.SetOnCycle(func(c int64) {
+	net.SetObserver(noc.Observer{Cycle: func(c int64) {
 		if c == cancelAt {
 			cancel()
 		}
-	})
+	}})
 	_, err = RunCtx(ctx, net, RunConfig{
 		Pattern:        UniformRandom{N: 64},
 		Process:        Bernoulli{P: 0.01},
@@ -167,11 +167,11 @@ func TestSuspendUnsupportedProcessFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl.RequestSuspend()
-	net.SetOnCycle(func(c int64) {
+	net.SetObserver(noc.Observer{Cycle: func(c int64) {
 		if c == 3*CancelBatch {
 			cancel()
 		}
-	})
+	}})
 	cfg := suspendRunCfg(opaqueProcess{Bernoulli{P: 0.01}})
 	_, err = RunCtx(ctx, net, cfg)
 	if !errors.Is(err, context.Canceled) {
